@@ -59,6 +59,8 @@
 
 use std::time::Instant;
 
+use quake_bench::{finish_step_json, lts_block};
+
 use quake_machine::{bytes, MachineModel};
 use quake_mesh::hexmesh::{ElemMaterial, HexMesh};
 use quake_octree::{BalanceMode, LinearOctree, MAX_LEVEL};
@@ -539,13 +541,14 @@ fn main() {
         "  \"harness\": {{ \"steps_per_sec\": {harness_sps:.3}, \"noop_hook_overhead_pct\": {harness_overhead_pct:.3}, \"noop_hook_overhead_raw_pct\": {harness_overhead_raw_pct:.3} }},\n"
     ));
     json.push_str(&format!("  \"speedup_fused_vs_baseline\": {speedup:.3}"));
-    if let Some(l) = &lts_json {
-        json.push_str(",\n");
-        json.push_str(l);
-    }
-    json.push_str("\n}\n");
 
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let tp = format!("{root}/BENCH_step_throughput.json");
+    // A full run without `--lts` keeps the LTS block the file already has.
+    let previous = if smoke { None } else { std::fs::read_to_string(&tp).ok() };
+    let lts_member = lts_json.as_deref().or_else(|| previous.as_deref().and_then(lts_block));
+    let json = finish_step_json(json, lts_member);
+
     let trace_path = format!("{root}/target/BENCH_step_trace.ndjson");
     let _ = std::fs::create_dir_all(format!("{root}/target"));
     std::fs::write(&trace_path, reg.ndjson()).expect("write NDJSON trace");
@@ -563,7 +566,6 @@ fn main() {
         println!("{breakdown}");
         println!("smoke mode: committed JSONs not written");
     } else {
-        let tp = format!("{root}/BENCH_step_throughput.json");
         let bp = format!("{root}/BENCH_phase_breakdown.json");
         std::fs::write(&tp, &json).expect("write BENCH_step_throughput.json");
         std::fs::write(&bp, &breakdown).expect("write BENCH_phase_breakdown.json");

@@ -64,9 +64,62 @@ pub fn full_scale() -> bool {
     std::env::var("QUAKE_SCALE").map(|v| v == "full").unwrap_or(false)
 }
 
+/// The `"lts"` member of a `BENCH_step_throughput.json` document, verbatim
+/// from the start of its line to its closing brace. A `bench_step` run
+/// without `--lts` measures no LTS leg, so it carries the block of the file
+/// it replaces over unchanged instead of dropping it.
+pub fn lts_block(json: &str) -> Option<&str> {
+    let key = json.find("\"lts\":")?;
+    let start = json[..key].rfind('\n').map_or(0, |i| i + 1);
+    let open = key + json[key..].find('{')?;
+    let mut depth = 0usize;
+    for (i, ch) in json[open..].char_indices() {
+        match ch {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(&json[start..open + i + 1]);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Close a `BENCH_step_throughput.json` body (every member up to the last,
+/// unterminated) with the optional `"lts"` member.
+pub fn finish_step_json(mut body: String, lts: Option<&str>) -> String {
+    if let Some(l) = lts {
+        body.push_str(",\n");
+        body.push_str(l);
+    }
+    body.push_str("\n}\n");
+    body
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A run without `--lts` rewrites the throughput file around the
+    /// committed `lts` block: the carried block reproduces the document.
+    #[test]
+    fn lts_block_carries_over_unchanged() {
+        let body = "{\n  \"n_steps\": 20,\n  \"speedup_fused_vs_baseline\": 4.111".to_string();
+        let lts = "  \"lts\": {\n    \"level_elements\": { \"4\": 3840, \"5\": 1984 },\n    \
+                   \"grouped\": { \"base_steps_per_sec\": 2171.164 },\n    \
+                   \"speedup_lts_vs_fused\": 2.088\n  }";
+        let committed = finish_step_json(body.clone(), Some(lts));
+        assert_eq!(lts_block(&committed), Some(lts));
+        let rewritten = finish_step_json(body.clone(), lts_block(&committed));
+        assert_eq!(rewritten, committed);
+        // Nothing to carry from a file that has no LTS leg.
+        let plain = finish_step_json(body, None);
+        assert_eq!(lts_block(&plain), None);
+        assert_eq!(lts_block("{ \"lts\": { \"cycle\": 4 "), None, "unterminated block");
+    }
 
     #[test]
     fn rel_l2_basic() {

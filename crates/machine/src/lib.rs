@@ -201,6 +201,9 @@ pub mod phases {
         /// Interface values (f64 count) exchanged per step; zero for a
         /// serial run.
         pub exchange_doubles: u64,
+        /// Matvec lanes the blocked element sweep computes per step,
+        /// padding included; zero when unknown.
+        pub sweep_lanes: u64,
     }
 
     /// Per-step costs of each phase of the fused elastic step, in execution

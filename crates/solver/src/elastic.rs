@@ -408,6 +408,7 @@ impl<'m> ElasticSolver<'m> {
             n_hanging: self.mesh.n_hanging() as u64,
             n_abc_faces: scope.faces.len() as u64,
             exchange_doubles: 0,
+            sweep_lanes: scope.schedule.lanes_per_sweep() as u64,
         }
     }
 
@@ -421,7 +422,10 @@ impl<'m> ElasticSolver<'m> {
     }
 
     /// [`ElasticSolver::record_step_costs`] with a caller-adjusted shape
-    /// (e.g. with the real `exchange_doubles` of a distributed rank).
+    /// (e.g. with the real `exchange_doubles` of a distributed rank). Also
+    /// sets the `sweep/lane_efficiency` gauge — scheduled elements over the
+    /// matvec lanes the sweep computes for them — so a padding regression in
+    /// the blocked kernel shows in any run's registry.
     pub fn record_step_costs_shaped(&self, shape: &ElasticStepShape, n_steps: u64, reg: &Registry) {
         if !reg.is_enabled() {
             return;
@@ -429,6 +433,10 @@ impl<'m> ElasticSolver<'m> {
         for p in elastic_step_phases(shape) {
             reg.set(&format!("step/{}/flops", p.name), p.flops * n_steps);
             reg.set(&format!("step/{}/bytes", p.name), p.bytes * n_steps);
+        }
+        if shape.sweep_lanes > 0 {
+            let elements = shape.n_damped + shape.n_undamped;
+            reg.gauge("sweep/lane_efficiency", elements as f64 / shape.sweep_lanes as f64);
         }
     }
 

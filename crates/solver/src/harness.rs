@@ -682,6 +682,12 @@ impl StepHook for ReceiverHook<'_> {
             self.nodes.len(),
             "state has one seismogram per receiver node"
         );
+        // One sample per step: reserving the whole run up front keeps the
+        // per-step sampling allocation-free.
+        let steps = ctx.info.until_step.saturating_sub(ctx.info.first_step) as usize;
+        for tr in &mut ctx.state.seismograms {
+            tr.reserve(steps);
+        }
         Ok(())
     }
 

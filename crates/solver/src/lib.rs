@@ -33,8 +33,9 @@
 //!   energy-growth bounds on a step cadence, with an NDJSON post-mortem dump
 //!   (diagnostic header + flight-recorder tail) on violation,
 //! - [`distributed`]: the rank-parallel elastic solver over `quake-parcomm`
-//!   (owner-computes + interface sum-exchange), bit-identical to the serial
-//!   solver,
+//!   (owner-computes + interface sum-exchange), equal to the serial solver
+//!   to rounding (tested to 1e-12; interface partial sums fold in a
+//!   different order),
 //! - [`reference`]: the frozen pre-optimization elastic step — the
 //!   equivalence and `bench_step` baseline.
 //!

@@ -14,6 +14,12 @@ impl Seismogram {
         Seismogram { dt, ncomp, data: Vec::new() }
     }
 
+    /// Make room for `n_samples` more samples, so the next that many
+    /// [`Seismogram::push`]es allocate nothing.
+    pub fn reserve(&mut self, n_samples: usize) {
+        self.data.reserve(n_samples * self.ncomp);
+    }
+
     pub fn push(&mut self, sample: &[f64]) {
         assert_eq!(sample.len(), self.ncomp);
         self.data.extend_from_slice(sample);
